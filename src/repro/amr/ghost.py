@@ -18,6 +18,7 @@ Two jobs live here:
 from __future__ import annotations
 
 import itertools
+from typing import Mapping
 
 import numpy as np
 
@@ -144,9 +145,55 @@ class GhostFiller:
 # ---------------------------------------------------------------------------
 # Communication-volume planning
 # ---------------------------------------------------------------------------
+#: Candidate pairs tested per broadcast block; bounds the temporaries of
+#: the all-pairs overlap test on hierarchies with many boxes.
+_PAIR_BLOCK = 1 << 18
+
+
+def _overlaps(
+    a_lo: np.ndarray,
+    a_hi: np.ndarray,
+    a_level: np.ndarray,
+    b_lo: np.ndarray,
+    b_hi: np.ndarray,
+    b_level: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every overlapping ``(a, b)`` row pair with ``a_level[a] ==
+    b_level[b]``, in row-major ``(a, b)`` order.
+
+    Returns the row indices into each operand and the overlap cell
+    counts.  Each block of ``a`` rows is tested against every ``b`` row
+    with one broadcast lo/hi comparison per axis.
+    """
+    step = max(1, _PAIR_BLOCK // len(b_lo))
+    ai_parts, bi_parts = [], []
+    for a0 in range(0, len(a_lo), step):
+        rows = slice(a0, a0 + step)
+        hit = a_level[rows, None] == b_level
+        for d in range(a_lo.shape[1]):
+            hit &= a_lo[rows, d, None] < b_hi[:, d]
+            hit &= b_lo[:, d] < a_hi[rows, d, None]
+        ai, bi = np.nonzero(hit)
+        ai_parts.append(ai + a0)
+        bi_parts.append(bi)
+    ai = np.concatenate(ai_parts)
+    bi = np.concatenate(bi_parts)
+    extent = np.minimum(a_hi[ai], b_hi[bi]) - np.maximum(a_lo[ai], b_lo[bi])
+    return ai, bi, extent.prod(axis=1)
+
+
+def _owner_ranks(boxes: BoxList, owners: Mapping[Box, int]) -> np.ndarray:
+    """Rank vector aligned with ``boxes`` from a Box-keyed owner map."""
+    ranks = list(map(owners.get, boxes))
+    if None in ranks:
+        missing = boxes[ranks.index(None)]
+        raise GeometryError(f"box {missing} missing from ownership map")
+    return np.array(ranks, dtype=np.int64)
+
+
 def plan_exchange_volumes(
     boxes: BoxList,
-    owners: dict[Box, int],
+    owners: np.ndarray | Mapping[Box, int],
     ghost_width: int = 1,
     bytes_per_cell: float = 8.0,
     refine_factor: int = 2,
@@ -159,48 +206,89 @@ def plan_exchange_volumes(
     prolongation source -- its coarsened ghost footprint -- from every
     parent-level box it overlaps that lives on another rank.
 
-    Parameters mirror the partitioner output: ``owners`` maps every box in
-    ``boxes`` to its rank.
+    ``owners`` is the rank of every box, aligned with ``boxes`` (the
+    partitioner's ``rank_vector()``); a Box-keyed mapping is also
+    accepted and looked up once into that vector.
+
+    Runs on the ``BoxArray`` columns: one broadcast overlap test finds
+    every same-level and child-parent overlap at once.  The result is
+    ordered by the enumeration (intra-level ``(a, b)`` pairs, levels in
+    order of their first box, then ``(fine, parent)`` pairs by ascending
+    level, boxes in list order within each): keys appear in order of
+    first occurrence and each value is summed in enumeration order
+    (``np.bincount`` adds in input order).  The exchange pricing
+    accumulates floats in the dict's order, so the order is part of the
+    contract.
     """
     if ghost_width < 0:
         raise GeometryError(f"negative ghost width {ghost_width}")
-    volumes: dict[tuple[int, int], float] = {}
-
-    def add(src: int, dst: int, cells: int) -> None:
-        if src == dst or cells <= 0:
-            return
-        key = (src, dst)
-        volumes[key] = volumes.get(key, 0.0) + cells * bytes_per_cell
-
-    by_level: dict[int, list[Box]] = {}
-    for b in boxes:  # per-box ok: keyed against the Box-keyed owners map
-        if b not in owners:
-            raise GeometryError(f"box {b} missing from ownership map")
-        by_level.setdefault(b.level, []).append(b)
-
-    # Intra-level ghost traffic.
-    for level_boxes in by_level.values():
-        for a in level_boxes:
-            if ghost_width == 0:
-                continue
-            grown = a.grow(ghost_width)
-            for b in level_boxes:
-                if a is b:
-                    continue
-                inter = grown.intersection(b)
-                if inter is not None:
-                    add(owners[b], owners[a], inter.num_cells)
-
-    # Inter-level prolongation traffic (fine pulls from coarse).
-    for level, level_boxes in sorted(by_level.items()):
-        parents = by_level.get(level - 1, [])
-        if not parents:
-            continue
-        for fine in level_boxes:
-            footprint = fine.grow(ghost_width) if ghost_width else fine
-            coarse_fp = footprint.coarsen(refine_factor)
-            for parent in parents:
-                inter = parent.intersection(coarse_fp)
-                if inter is not None:
-                    add(owners[parent], owners[fine], inter.num_cells)
-    return volumes
+    if isinstance(owners, Mapping):
+        owners = _owner_ranks(boxes, owners)
+    arr = boxes.array
+    ranks = np.asarray(owners, dtype=np.int64)
+    if ranks.shape != (len(arr),):
+        raise GeometryError(
+            f"{ranks.size} owner ranks for {len(arr)} boxes"
+        )
+    if not len(arr):
+        return {}
+    lo, hi, level = arr.lower, arr.upper, arr.level
+    n = len(arr)
+    # Query rows, one block of n per kind: each box's grown box looks for
+    # same-level neighbours (none without a ghost frame), and its
+    # coarsened ghost footprint looks for parent-level boxes.
+    q_lo, q_hi, q_level, q_order = [], [], [], []
+    if ghost_width:
+        present, first = np.unique(level, return_index=True)
+        appearance = np.empty(int(present[-1]) + 1, dtype=np.int64)
+        appearance[present[np.argsort(first)]] = np.arange(present.size)
+        q_lo.append(lo - ghost_width)
+        q_hi.append(hi + ghost_width)
+        q_level.append(level)
+        # Intra-level pairs come first, levels in order of first box.
+        q_order.append(appearance[level])
+    has_level = np.bincount(level) > 0
+    if (has_level[1:] & has_level[:-1]).any():
+        if refine_factor < 2:
+            raise GeometryError(
+                f"coarsening factor must be >= 2, got {refine_factor}"
+            )
+        q_lo.append((lo - ghost_width) // refine_factor)
+        q_hi.append(-(-(hi + ghost_width) // refine_factor))
+        q_level.append(level - 1)
+        # Then prolongation pairs, by ascending fine level.
+        q_order.append(n + level)
+    if not q_lo:
+        return {}
+    qi, bi, cells = _overlaps(
+        np.concatenate(q_lo),
+        np.concatenate(q_hi),
+        np.concatenate(q_level),
+        lo,
+        hi,
+        level,
+    )
+    ai = qi % n
+    dst, src = ranks[ai], ranks[bi]
+    keep = dst != src  # also drops each grown box's overlap with itself
+    # Stable: rows and columns stay in (a, b) order within each level.
+    order = np.argsort(np.concatenate(q_order)[qi[keep]], kind="stable")
+    src = src[keep][order]
+    dst = dst[keep][order]
+    if not src.size:
+        return {}
+    weights = cells[keep][order] * bytes_per_cell
+    base = min(int(src.min()), int(dst.min()))
+    span = max(int(src.max()), int(dst.max())) - base + 1
+    code = (src - base) * span + (dst - base)
+    _, first_at, inverse = np.unique(
+        code, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_at, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    sums = np.bincount(slot[inverse], weights=weights, minlength=order.size)
+    firsts = first_at[order]
+    return dict(
+        zip(zip(src[firsts].tolist(), dst[firsts].tolist()), sums.tolist())
+    )

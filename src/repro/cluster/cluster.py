@@ -75,6 +75,7 @@ class Cluster:
         # Static per-node spec columns for vectorized speed queries.
         self._cpu_speed = np.array([s.cpu_speed for s in self.nodes])
         self._os_overhead = np.array([s.os_overhead for s in self.nodes])
+        self._bandwidth_mbps = np.array([s.bandwidth_mbps for s in self.nodes])
         #: node -> sim time it went down (absent = up)
         self._down_since: dict[int, float] = {}
         #: node -> multiplicative NIC derating in (0, 1] (absent = 1.0)
@@ -297,6 +298,24 @@ class Cluster:
             )
             for k in range(self.num_nodes)
         ]
+
+    def bandwidths(self, t: float | None = None) -> np.ndarray:
+        """Per-node deliverable NIC bandwidth (Mbit/s) in one columnar pass.
+
+        Element ``k`` equals ``state_of(k, t).bandwidth_mbps`` bit for
+        bit -- the same share floor, derating and product, in the same
+        order -- including zero for down nodes.  The communicator prices
+        a whole exchange phase against one such snapshot instead of two
+        full state queries per message.
+        """
+        t = self.clock.now if t is None else t
+        share = np.maximum(0.05, 1.0 - self._node_sums(t)[2])
+        for node, factor in self._link_derate.items():
+            share[node] *= factor
+        out = self._bandwidth_mbps * share
+        if self._down_since:
+            out[list(self._down_since)] = 0.0
+        return out
 
     def effective_speed(self, node: int, t: float | None = None) -> float:
         """Deliverable work units per second on ``node`` at ``t``."""

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.util.errors import SimulationError
 
 __all__ = ["LinkModel"]
@@ -65,3 +67,22 @@ class LinkModel:
             raise SimulationError("transfer over a zero-bandwidth link")
         bytes_per_s = bw * _MEGA / _BITS_PER_BYTE
         return self.contention_factor * (self.latency_s + nbytes / bytes_per_s)
+
+    def transfer_times(
+        self, nbytes: np.ndarray, bandwidth_mbps: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`transfer_time` over arrays of already-validated messages.
+
+        ``bandwidth_mbps`` is each message's effective (slower-endpoint)
+        bandwidth.  Zero-byte entries cost nothing; every other entry
+        must have a non-negative size and a positive bandwidth.  The
+        arithmetic is the scalar expression, operation for operation, so
+        each element equals the scalar result bit for bit.
+        """
+        out = np.zeros(len(nbytes))
+        send = nbytes != 0
+        bytes_per_s = bandwidth_mbps[send] * _MEGA / _BITS_PER_BYTE
+        out[send] = self.contention_factor * (
+            self.latency_s + nbytes[send] / bytes_per_s
+        )
+        return out

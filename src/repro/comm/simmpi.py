@@ -46,14 +46,26 @@ class CommStats:
     per_pair_seconds: dict[tuple[int, int], float] = field(default_factory=dict)
     per_pair_messages: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def record_message(self, src: int, dst: int, nbytes: int, seconds: float) -> None:
-        self.messages += 1
-        self.bytes_sent += nbytes
-        self.point_to_point_time += seconds
-        pair = (src, dst)
-        self.per_pair_bytes[pair] = self.per_pair_bytes.get(pair, 0) + nbytes
-        self.per_pair_seconds[pair] = self.per_pair_seconds.get(pair, 0.0) + seconds
-        self.per_pair_messages[pair] = self.per_pair_messages.get(pair, 0) + 1
+    def record_messages(
+        self,
+        pairs: list[tuple[int, int]],
+        sizes: list[int],
+        seconds: list[float],
+    ) -> None:
+        """Tally messages in order: ``pairs[i]`` moved ``sizes[i]`` bytes
+        in ``seconds[i]``."""
+        self.messages += len(pairs)
+        self.bytes_sent += sum(sizes)
+        total = self.point_to_point_time
+        per_bytes = self.per_pair_bytes
+        per_seconds = self.per_pair_seconds
+        per_messages = self.per_pair_messages
+        for pair, nbytes, secs in zip(pairs, sizes, seconds):
+            total += secs
+            per_bytes[pair] = per_bytes.get(pair, 0) + nbytes
+            per_seconds[pair] = per_seconds.get(pair, 0.0) + secs
+            per_messages[pair] = per_messages.get(pair, 0) + 1
+        self.point_to_point_time = total
 
 
 class SimCommunicator:
@@ -100,27 +112,85 @@ class SimCommunicator:
             raise SimulationError(f"rank {rank} out of range [0, {self.size})")
 
     # ------------------------------------------------------------------
-    def p2p_time(
-        self, src: int, dst: int, nbytes: float, t: float | None = None
-    ) -> float:
-        """Seconds for one message from ``src`` to ``dst`` at time ``t``."""
+    def _price(self, pair_bytes: Mapping[tuple[int, int], float], t):
+        """Validate and price a set of messages against one snapshot.
+
+        One :meth:`Cluster.bandwidths` pass prices every message; nothing
+        is recorded here.  The first invalid message in input order
+        raises its error (bad rank, down endpoint, negative size, zero
+        bandwidth, checked in that order) before any counter or statistic
+        changes.
+        Returns ``(keys, sizes, src, dst, bw, seconds, rows)`` where ``bw``
+        is each message's effective bandwidth and ``rows`` lists the
+        positions of the non-local messages in input order.
+        """
+        keys = list(pair_bytes)
+        sizes = list(pair_bytes.values())
+        ends = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
+        src, dst = ends[:, 0], ends[:, 1]
+        nbytes = np.array(sizes, dtype=float)
+        size = self.size
+        bws = self.cluster.bandwidths(t)
+        up = self.cluster.live_mask()
+        in_range = (src >= 0) & (src < size) & (dst >= 0) & (dst < size)
+        s = np.where(in_range, src, 0)
+        d = np.where(in_range, dst, 0)
+        remote = src != dst
+        bw = np.minimum(bws[s], bws[d])
+        bad = ~in_range | (
+            remote
+            & (~(up[s] & up[d]) | (nbytes < 0) | ((nbytes != 0) & (bw <= 0)))
+        )
+        if bad.any():
+            i = int(bad.argmax())
+            self._raise_invalid(keys[i][0], keys[i][1], sizes[i], bws)
+        seconds = self.cluster.link.transfer_times(
+            np.where(remote, nbytes, 0.0), bw
+        )
+        rows = np.flatnonzero(remote).tolist()
+        return keys, sizes, src, dst, bw, seconds, rows
+
+    def _raise_invalid(self, src, dst, nbytes, bws: np.ndarray) -> None:
+        """Raise the per-message error for one message known to be bad."""
         self._check_rank(src)
         self._check_rank(dst)
-        if src == dst:
-            return 0.0  # local copy, charged to compute
         if not (self.cluster.is_up(src) and self.cluster.is_up(dst)):
             raise SimulationError(
                 f"point-to-point {src}->{dst} has a down endpoint; "
                 "recovery must evacuate or re-route this transfer"
             )
-        s_bw = self.cluster.state_of(src, t).bandwidth_mbps
-        d_bw = self.cluster.state_of(dst, t).bandwidth_mbps
-        seconds = self.cluster.link.transfer_time(nbytes, s_bw, d_bw)
-        self.stats.record_message(src, dst, int(nbytes), seconds)
+        self.cluster.link.transfer_time(
+            nbytes, float(bws[src]), float(bws[dst])
+        )
+
+    def _record(self, keys, sizes, seconds: np.ndarray, rows) -> tuple:
+        """Tally the priced non-local messages in input order.
+
+        Returns the ``(pairs, sizes, seconds)`` lists that were recorded.
+        """
+        secs = seconds.tolist()
+        pairs = [keys[i] for i in rows]
+        sent = [int(sizes[i]) for i in rows]
+        secs = [secs[i] for i in rows]
+        self.stats.record_messages(pairs, sent, secs)
         if self._messages_total is not None:
-            self._messages_total.inc()
-            self._bytes_total.inc(int(nbytes))
-        return seconds
+            self._messages_total.inc(len(pairs))
+            self._bytes_total.inc(sum(sent))
+        return pairs, sent, secs
+
+    def p2p_time(
+        self, src: int, dst: int, nbytes: float, t: float | None = None
+    ) -> float:
+        """Seconds for one message from ``src`` to ``dst`` at time ``t``.
+
+        A message to self is a local copy, charged to compute: it costs
+        nothing and is not counted.
+        """
+        keys, sizes, _, _, _, seconds, rows = self._price(
+            {(src, dst): nbytes}, t
+        )
+        self._record(keys, sizes, seconds, rows)
+        return float(seconds[0])
 
     def exchange_time(
         self,
@@ -135,27 +205,38 @@ class SimCommunicator:
         returns the per-rank busy time (callers usually take the max).
         ``phase`` labels the emitted ``comm.exchange`` telemetry event
         (``"ghost-exchange"``, ``"migration"``) when a tracer is bound.
+
+        The whole phase is priced against one bandwidth snapshot and
+        validated before anything is recorded, so a phase that raises
+        leaves no traffic behind.  Busy time accumulates with one
+        ``np.bincount`` over the interleaved ``[src0, dst0, src1, dst1,
+        ...]`` index: in-order, so it equals the per-message
+        ``busy[src] += s; busy[dst] += s`` loop bit for bit.
         """
-        busy = np.zeros(self.size)
-        trace = self._tracer.enabled
-        pairs: list[tuple[int, int, int, float, bool]] = []
-        for (src, dst), nbytes in pair_bytes.items():
-            seconds = self.p2p_time(src, dst, nbytes, t)
-            busy[src] += seconds
-            busy[dst] += seconds
-            if trace and src != dst:
-                eff_bw = min(
-                    self.cluster.state_of(src, t).bandwidth_mbps,
-                    self.cluster.state_of(dst, t).bandwidth_mbps,
-                )
-                nom_bw = min(
-                    self.cluster.nodes[src].bandwidth_mbps,
-                    self.cluster.nodes[dst].bandwidth_mbps,
-                )
-                derated = eff_bw < nom_bw * (1.0 - 1e-12)
-                pairs.append((int(src), int(dst), int(nbytes), seconds, derated))
-        if trace:
-            self._emit_exchange_event(phase, pairs, busy, t)
+        keys, sizes, src, dst, bw, seconds, rows = self._price(pair_bytes, t)
+        pairs, sent, secs = self._record(keys, sizes, seconds, rows)
+        ends = np.empty(2 * len(keys), dtype=np.intp)
+        ends[0::2] = src
+        ends[1::2] = dst
+        busy = np.bincount(
+            ends, weights=np.repeat(seconds, 2), minlength=self.size
+        )
+        if self._tracer.enabled:
+            nominal = np.array(
+                [spec.bandwidth_mbps for spec in self.cluster.nodes]
+            )
+            derated = (
+                bw < np.minimum(nominal[src], nominal[dst]) * (1.0 - 1e-12)
+            ).tolist()
+            self._emit_exchange_event(
+                phase,
+                [
+                    (int(s), int(d), nbytes, sec, derated[i])
+                    for i, (s, d), nbytes, sec in zip(rows, pairs, sent, secs)
+                ],
+                busy,
+                t,
+            )
         return busy
 
     def _emit_exchange_event(
@@ -201,12 +282,12 @@ class SimCommunicator:
         fault tolerance (ULFM-style) shrinks the communicator; pricing them
         in would divide by a zero bandwidth.
         """
-        live = [k for k in range(self.size) if self.cluster.is_up(k)]
-        if len(live) <= 1:
+        live = self.cluster.live_mask()
+        num_live = int(live.sum())
+        if num_live <= 1:
             return 0.0
-        rounds = math.ceil(math.log2(len(live)))
-        states = [self.cluster.state_of(k, t) for k in live]
-        slowest_bw = min(s.bandwidth_mbps for s in states)
+        rounds = math.ceil(math.log2(num_live))
+        slowest_bw = float(self.cluster.bandwidths(t)[live].min())
         per_round = self.cluster.link.transfer_time(nbytes, slowest_bw, slowest_bw)
         seconds = rounds * per_round
         self.stats.collective_time += seconds

@@ -23,7 +23,7 @@ import numpy as np
 from repro.hdda.index import HierarchicalIndexSpace
 from repro.hdda.storage import Block, BlockStore
 from repro.util.errors import HDDAError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxArray, BoxList
 
 __all__ = ["OwnershipMap", "MigrationPlan", "HDDA"]
 
@@ -133,6 +133,10 @@ class HDDA:
         key = self.index_space.key_for_box(box)
         if key in self.ownership:
             raise HDDAError(f"box {box} already registered (key {key})")
+        self._store(box, rank, key, payload)
+        return key
+
+    def _store(self, box: Box, rank: int, key: int, payload=None) -> None:
         blk = Block(
             key=key,
             box=box,
@@ -141,7 +145,6 @@ class HDDA:
         )
         self.stores[rank].put(blk)
         self.ownership.assign(key, rank)
-        return key
 
     def unregister_box(self, box: Box) -> None:
         """Drop the block for ``box`` (hierarchy shrank at regrid)."""
@@ -201,16 +204,21 @@ class HDDA:
         (they are *new* blocks, created by :meth:`apply_assignment`); blocks
         not mentioned in the assignment keep their current owner.
         """
-        items = (
-            assignment.items()
-            if isinstance(assignment, Mapping)
-            else list(assignment)
-        )
+        items = _assignment_items(assignment)
+        return self._plan(items, self._keys(items))
+
+    def _keys(self, items: list[tuple[Box, int]]) -> list[int]:
+        """Index-space key of every assigned box, in one columnar pass."""
+        boxes = BoxArray.from_boxes([box for box, _ in items])
+        return self.index_space.keys_for(boxes).tolist()
+
+    def _plan(
+        self, items: list[tuple[Box, int]], keys: list[int]
+    ) -> MigrationPlan:
         plan = MigrationPlan()
-        for box, dst in items:
+        for (_, dst), key in zip(items, keys):
             if not 0 <= dst < self.num_procs:
                 raise HDDAError(f"rank {dst} out of range")
-            key = self.index_space.key_for_box(box)
             if key not in self.ownership:
                 continue
             src = self.ownership.owner(key)
@@ -226,27 +234,24 @@ class HDDA:
 
         Existing blocks move (returned in the plan), blocks for new boxes are
         created in place, and blocks whose boxes disappeared are dropped.
+        Every box's key is computed once, for the whole assignment, by
+        :meth:`HierarchicalIndexSpace.keys_for`.
         """
-        items = list(
-            assignment.items()
-            if isinstance(assignment, Mapping)
-            else assignment
-        )
-        plan = self.plan_redistribution(items)
+        items = _assignment_items(assignment)
+        keys = self._keys(items)
+        plan = self._plan(items, keys)
         # Execute moves.
-        for (src, dst), keys in plan.moves.items():
-            for key in keys:
+        for (src, dst), moved in plan.moves.items():
+            for key in moved:
                 blk = self.stores[src].pop(key)
                 self.stores[dst].put(blk)
                 self.ownership.assign(key, dst)
-        # Create new blocks, tracking the desired final key set.
-        desired: set[int] = set()
-        for box, rank in items:
-            key = self.index_space.key_for_box(box)
-            desired.add(key)
+        # Create new blocks.
+        for (box, rank), key in zip(items, keys):
             if key not in self.ownership:
-                self.register_box(box, rank)
+                self._store(box, rank, key)
         # Drop stale blocks.
+        desired = set(keys)
         for key in list(self.ownership._owner):
             if key not in desired:
                 rank = self.ownership.owner(key)
@@ -287,3 +292,11 @@ class HDDA:
             self.stores[rank].check_invariants()
         if seen != set(self.ownership._owner):
             raise HDDAError("ownership map and stores disagree on key set")
+
+
+def _assignment_items(
+    assignment: Mapping[Box, int] | Iterable[tuple[Box, int]],
+) -> list[tuple[Box, int]]:
+    if isinstance(assignment, Mapping):
+        return list(assignment.items())
+    return list(assignment)

@@ -14,9 +14,16 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.util.errors import GeometryError, HDDAError
-from repro.util.geometry import Box, BoxList
-from repro.util.sfc import hilbert_encode, morton_encode
+from repro.util.geometry import Box, BoxArray, BoxList
+from repro.util.sfc import (
+    hilbert_encode,
+    hilbert_encode_many,
+    morton_encode,
+    morton_encode_many,
+)
 
 __all__ = ["HierarchicalIndexSpace"]
 
@@ -114,6 +121,39 @@ class HierarchicalIndexSpace:
         """
         self._check_level(box.level)
         return self.key_for_point(box.lower, box.level)
+
+    def keys_for(self, boxes: BoxArray) -> np.ndarray:
+        """:meth:`key_for_box` of every row, computed over whole columns.
+
+        Lower corners are promoted to the finest level and encoded with
+        the vectorized curve (``hilbert_encode_many`` /
+        ``morton_encode_many``), then shifted past the level bits --
+        element ``i`` equals ``key_for_box(boxes.box(i))``.  A row the
+        space cannot address (level out of range, corner outside the
+        domain's curve) raises the scalar path's :class:`HDDAError` for
+        the first such row.
+        """
+        if not len(boxes):
+            return np.zeros(0, dtype=np.int64)
+        level = boxes.level
+        scale = np.power(
+            np.int64(self.refine_factor),
+            self._finest - np.minimum(level, self._finest),
+        )
+        limit = ((1 << self._bits) - 1) // scale
+        bad = (
+            (level >= self.max_levels)
+            | (boxes.lower < 0).any(axis=1)
+            | (boxes.lower > limit[:, None]).any(axis=1)
+        )
+        if bad.any():
+            self.key_for_box(boxes.box(int(bad.argmax())))
+        promoted = boxes.lower * scale[:, None]
+        if self.curve == "hilbert":
+            curve_keys = hilbert_encode_many(promoted, self._bits)
+        else:
+            curve_keys = morton_encode_many(promoted, self._bits)
+        return (curve_keys << self._level_bits) | level
 
     def level_of_key(self, key: int) -> int:
         """Recover the refinement level from a key."""

@@ -317,9 +317,7 @@ class DistributedAmrRun:
                     loads = self.owned_loads()
                     current = self.pipeline.last
                     volumes = (
-                        self.pipeline.exchange_plan(
-                            current.part.boxes(), current.owners
-                        )
+                        self.pipeline.exchange_plan(current)
                         if current is not None
                         else {}
                     )

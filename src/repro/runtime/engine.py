@@ -316,7 +316,7 @@ class SamrRuntime:
             migration_seconds=out.migration_seconds,
         )
         result.regrids.append(record)
-        volumes = self.pipeline.exchange_plan(out.part.boxes(), out.owners)
+        volumes = self.pipeline.exchange_plan(out)
         return out.loads, volumes
 
     # ------------------------------------------------------------------

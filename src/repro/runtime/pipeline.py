@@ -87,6 +87,9 @@ class RepartitionOutcome:
     imbalance: np.ndarray  # I_k (%)
     migration_bytes: int
     migration_seconds: float
+    #: ghost-exchange plan of ``part``, memoized by
+    #: :meth:`RepartitionPipeline.exchange_plan`
+    plan: dict[tuple[int, int], float] | None = None
 
     @property
     def owners(self) -> dict[Box, int]:
@@ -497,16 +500,23 @@ class RepartitionPipeline:
     # Stage: ghost-exchange planning
     # ------------------------------------------------------------------
     def exchange_plan(
-        self, boxes: BoxList, owners: dict[Box, int]
-    ) -> dict:
-        """Pairwise ghost-exchange volumes of the current decomposition."""
-        return plan_exchange_volumes(
-            boxes,
-            owners,
-            ghost_width=self.ghost_width,
-            bytes_per_cell=self.bytes_per_cell,
-            refine_factor=self.refine_factor,
-        )
+        self, outcome: RepartitionOutcome
+    ) -> dict[tuple[int, int], float]:
+        """Pairwise ghost-exchange volumes of ``outcome``'s decomposition.
+
+        Planned once per repartition from the result's box columns and
+        rank vector, then memoized on the outcome: every step priced on
+        an unchanged partition reuses the same (read-only) plan.
+        """
+        if outcome.plan is None:
+            outcome.plan = plan_exchange_volumes(
+                outcome.part.boxes(),
+                outcome.part.rank_vector(),
+                ghost_width=self.ghost_width,
+                bytes_per_cell=self.bytes_per_cell,
+                refine_factor=self.refine_factor,
+            )
+        return outcome.plan
 
     # ------------------------------------------------------------------
     # Stage: observability stamping

@@ -249,10 +249,10 @@ def hilbert_encode_many(coords: np.ndarray, bits: int) -> np.ndarray:
 def _interleave_msb_first(x: np.ndarray, bits: int) -> np.ndarray:
     """Transpose words -> keys: MSB-first bit interleave across words.
 
-    The 2-D case spreads bits with the classic magic-number doubling
-    ladder (bit ``k`` of a word lands at position ``2k``), replacing the
-    ``bits * ndim`` single-bit passes of the generic loop with ten
-    whole-array ops.
+    The 2-D and 3-D cases spread bits with the classic magic-number
+    doubling ladders (bit ``k`` of a word lands at position ``ndim * k``),
+    replacing the ``bits * ndim`` single-bit passes of the generic loop
+    with a few whole-array ops.
     """
     ndim, n = x.shape
     if ndim == 2 and bits <= 31:
@@ -265,6 +265,16 @@ def _interleave_msb_first(x: np.ndarray, bits: int) -> np.ndarray:
             return (v | (v << 1)) & np.int64(0x5555555555555555)
 
         return (spread(x[0]) << 1) | spread(x[1])
+    if ndim == 3 and bits <= 20:
+
+        def spread3(v: np.ndarray) -> np.ndarray:
+            v = (v | (v << 32)) & np.int64(0x001F00000000FFFF)
+            v = (v | (v << 16)) & np.int64(0x001F0000FF0000FF)
+            v = (v | (v << 8)) & np.int64(0x100F00F00F00F00F)
+            v = (v | (v << 4)) & np.int64(0x10C30C30C30C30C3)
+            return (v | (v << 2)) & np.int64(0x1249249249249249)
+
+        return (spread3(x[0]) << 2) | (spread3(x[1]) << 1) | spread3(x[2])
     keys = np.zeros(n, dtype=np.int64)
     for word in range(ndim):
         for bit in range(bits):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, LinkModel, NodeSpec
-from repro.comm import SimCommunicator
+from repro.comm import CommStats, SimCommunicator
 from repro.util.errors import SimulationError
 
 
@@ -131,6 +131,27 @@ class TestDegenerateAndFaultedComm:
             comm.p2p_time(1, 2, 1e6)
         # Live pairs keep working around the dead node.
         assert comm.p2p_time(0, 2, 1e6) > 0.0
+
+    def test_aborted_exchange_phase_records_nothing(self):
+        """A phase that raises on a down endpoint leaves no traffic behind.
+
+        The runtime catches the error and replays the step, so pairs
+        priced before the dead one must not reach the statistics or the
+        ``comm.*_total`` counters.
+        """
+        from repro.telemetry import Tracer
+
+        cluster = Cluster.homogeneous(4)
+        tracer = Tracer()
+        comm = SimCommunicator(cluster, tracer=tracer)
+        cluster.mark_down(2)
+        with pytest.raises(SimulationError, match="2->3 has a down endpoint"):
+            comm.exchange_time({(0, 1): 1e6, (1, 0): 5e5, (2, 3): 1e6})
+        assert comm.stats == CommStats()
+        counters = {m.name: m.value for m in tracer.metrics}
+        assert counters["comm.messages_total"] == 0
+        assert counters["comm.bytes_total"] == 0
+        assert not [e for e in tracer.events if e.name == "comm.exchange"]
 
     def test_allreduce_shrinks_around_down_nodes(self):
         cluster = Cluster.homogeneous(8)

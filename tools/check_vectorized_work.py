@@ -27,6 +27,13 @@ storage, indexing a Box-keyed dict) carry a ``# per-box ok: <reason>``
 marker on the offending line; the marker is the audit trail, not a
 loophole -- new markers should be rare and justified in review.
 
+**Node state** (``comm/`` and ``runtime/timemodel.py``): communication
+is priced against one ``Cluster.bandwidths(t)`` snapshot per phase.  A
+per-message ``Cluster.state_of`` query recomputes every load generator's
+contribution, so it is flagged there (no escape marker)::
+
+    cluster.state_of(src, t).bandwidth_mbps   # use cluster.bandwidths(t)
+
 Run from the repo root (CI does)::
 
     python tools/check_vectorized_work.py
@@ -90,6 +97,12 @@ ALLOWED_METADATA = {
 #: Inline escape for loops that genuinely need Box objects.
 PER_BOX_OK = "# per-box ok"
 
+#: Pricing code that must read node state through per-phase snapshots.
+SNAPSHOT_PATHS = (
+    SRC / "repro" / "comm",
+    SRC / "repro" / "runtime" / "timemodel.py",
+)
+
 
 def main() -> int:
     violations: list[str] = []
@@ -99,6 +112,7 @@ def main() -> int:
             any(path.is_relative_to(d) for d in METADATA_DIRS)
             and path not in ALLOWED_METADATA
         )
+        check_snapshot = any(path.is_relative_to(p) for p in SNAPSHOT_PATHS)
         for lineno, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
@@ -112,6 +126,11 @@ def main() -> int:
                             f"{rel}:{lineno}: scalar work loop `{pattern}`"
                             f" -- use WorkModel.vector()/total() instead"
                         )
+            if check_snapshot and ".state_of(" in line:
+                violations.append(
+                    f"{rel}:{lineno}: per-message node-state query"
+                    " `.state_of(` -- price against cluster.bandwidths(t)"
+                )
             if not check_metadata or PER_BOX_OK in line:
                 continue
             for regex, hint in FORBIDDEN_METADATA:
