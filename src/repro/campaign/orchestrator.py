@@ -4,14 +4,15 @@
 
 - Cells already recorded in the restored :class:`CampaignState` are
   skipped outright -- resuming an interrupted campaign re-executes
-  **zero** completed cells.
+  **zero** completed cells.  The ledger is checked against the store
+  first: a ledger-completed cell with no store record is pending again.
 - Pending cells are executed either inline (``workers <= 1``) or on a
   fork-context :class:`~concurrent.futures.ProcessPoolExecutor`.  The
   simulator is pure Python and cells are independent, so the pool is a
   straight shard with no shared state.
 - Each completed cell is committed through one durability sequence:
-  fsynced append to the :class:`~repro.campaign.store.ResultStore` log,
-  then ``mark_completed`` in the state ledger, then an atomic
+  acknowledged append to the :class:`~repro.campaign.store.ResultStore`
+  log, then ``mark_completed`` in the state ledger, then an
   integrity-checksummed state checkpoint.  A kill between the append and
   the checkpoint merely re-runs that one cell on resume; the store
   dedupes by cell key, so the record count still comes out exact.
@@ -33,7 +34,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.spec import CampaignSpec, CellSpec, canonical_json
+from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.campaign.state import CampaignCheckpointer, CampaignState
 from repro.campaign.store import ARTIFACTS_DIRNAME, ResultStore
 from repro.runtime.experiment import (
@@ -50,6 +51,7 @@ from repro.telemetry.live import (
     write_cell_bundle,
 )
 from repro.telemetry.spans import NullTracer, Tracer
+from repro.util.durable import append_line, encode_row, publish, repair_tail
 from repro.util.errors import CampaignError, ExperimentError
 
 __all__ = ["CampaignRunner", "execute_cell", "campaign_status"]
@@ -134,6 +136,13 @@ class CampaignRunner:
             self.directory / CHECKPOINT_DIRNAME
         )
         self.state = self._restore_state()
+        missing = self.state.drop_unrecorded(self.store.keys())
+        if missing:
+            self.tracer.event(
+                "campaign.record_missing",
+                campaign_id=spec.campaign_id,
+                count=missing,
+            )
         self.progress = ProgressLog(self.directory / EVENTS_NAME)
 
     @property
@@ -189,12 +198,7 @@ class CampaignRunner:
             "campaign_id": self.spec.campaign_id,
             "spec": self.spec.to_dict(),
         }
-        tmp = meta_path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(meta, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        tmp.replace(meta_path)
+        publish(meta_path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
     def _restore_state(self) -> CampaignState:
         state = self.checkpointer.load_latest()
@@ -227,6 +231,10 @@ class CampaignRunner:
         skipped = len(all_cells) - len(pending)
         if max_cells is not None:
             pending = pending[: max(0, int(max_cells))]
+        # This process is the logs' writer for the session; workers
+        # forked below append to events.jsonl after the repair.
+        for name in (EVENTS_NAME, FAILURES_NAME):
+            repair_tail(self.directory / name)
 
         self.tracer.event(
             "campaign.started",
@@ -437,11 +445,10 @@ class CampaignRunner:
         message = f"{type(exc).__name__}: {exc}"
         self.state.mark_failed(cell.key, message)
         self.checkpointer.save(self.state)
-        entry = {"cell_key": cell.key, "error": message}
-        with open(
-            self.directory / FAILURES_NAME, "a", encoding="utf-8"
-        ) as fh:
-            fh.write(canonical_json(entry) + "\n")
+        append_line(
+            self.directory / FAILURES_NAME,
+            encode_row({"cell_key": cell.key, "error": message}),
+        )
         self.tracer.event(
             "campaign.cell_failed", cell_key=cell.key, error=message
         )
@@ -480,6 +487,7 @@ def campaign_status(directory: str | Path) -> dict[str, Any]:
     completed = state.num_completed if state is not None else 0
     failed = dict(state.failed) if state is not None else {}
     store = ResultStore(directory)
+    store_records = len(store)
     artifacts_dir = directory / ARTIFACTS_DIRNAME
     artifact_cells = (
         sum(1 for p in artifacts_dir.iterdir() if p.is_dir())
@@ -492,8 +500,8 @@ def campaign_status(directory: str | Path) -> dict[str, Any]:
         "num_cells": spec.num_cells,
         "completed": completed,
         "failed": failed,
-        "complete": completed == spec.num_cells,
-        "store_records": len(store),
+        "complete": completed == store_records == spec.num_cells,
+        "store_records": store_records,
         "compacted": store.results_path.is_file(),
         "artifact_cells": artifact_cells,
     }

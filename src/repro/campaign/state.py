@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pickle
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -58,9 +58,21 @@ class CampaignState:
         if key in self.completed:
             return self.completed[key]
         self.failed.pop(key, None)
-        ordinal = len(self.completed) + 1
+        ordinal = max(self.completed.values(), default=0) + 1
         self.completed[key] = ordinal
         return ordinal
+
+    def drop_unrecorded(self, recorded: Iterable[str]) -> int:
+        """Un-complete every key outside ``recorded``; returns how many.
+
+        A resume checks the ledger against the result store: a cell the
+        ledger calls done but the store has no record for must run again.
+        """
+        recorded = set(recorded)
+        missing = [key for key in self.completed if key not in recorded]
+        for key in missing:
+            del self.completed[key]
+        return len(missing)
 
     def mark_failed(self, key: str, error: str) -> None:
         if key in self.completed:
@@ -107,9 +119,11 @@ class CampaignCheckpointer:
     """Snapshots a :class:`CampaignState` through the resilience store.
 
     Reuses :class:`~repro.resilience.checkpoint.Checkpoint` verbatim --
-    same format version, header, checksum and atomic directory publish
-    the grid-hierarchy snapshots use -- with the pickled state dict as
-    the payload and the completion count as the step tag.
+    same format version, header, checksum and directory publish the
+    grid-hierarchy snapshots use -- with the pickled state dict as the
+    payload and the completion count as the step tag.  The tag never
+    drops below the newest snapshot on disk, so after a resume drops
+    unrecorded cells the corrected state is still the newest snapshot.
     """
 
     def __init__(self, directory: str | Path, keep_last: int = KEEP_CHECKPOINTS):
@@ -120,7 +134,7 @@ class CampaignCheckpointer:
         payload = pickle.dumps(state.to_dict(), protocol=4)
         ckpt = Checkpoint(
             version=CHECKPOINT_FORMAT_VERSION,
-            step=state.num_completed,
+            step=max(state.num_completed, *self.store.steps(), 0),
             sim_time=0.0,
             clock_time=0.0,
             payload=payload,

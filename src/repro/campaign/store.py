@@ -4,12 +4,12 @@ Two-file design, mirroring how log-structured stores separate ingest
 from serving:
 
 - ``results.log.jsonl`` -- the *ingest log*.  Workers complete cells in
-  nondeterministic order, so records are appended (and fsynced) here the
-  moment they arrive; a crash loses at most the line being written, and
-  a torn final line is skipped on read rather than poisoning the store.
+  nondeterministic order, so the orchestrator appends records here the
+  moment they arrive, under the crash contract in
+  ``docs/ARCHITECTURE.md``.
 - ``results.jsonl`` + ``index.json`` -- the *canonical store*.
   :meth:`ResultStore.compact` merges the log, dedupes by cell key, sorts
-  by key and rewrites both atomically.  Because every record is a
+  by key and publishes both.  Because every record is a
   deterministic function of its cell spec (see
   :func:`repro.runtime.experiment.campaign_cell`) and the canonical
   encoding is fixed, the compacted store is **byte-identical** no matter
@@ -18,17 +18,24 @@ from serving:
 
 The index maps cell key -> byte offset/length into ``results.jsonl``
 plus a summary row, so the HTTP layer answers cell queries with one
-``seek`` instead of a scan.
+``seek`` instead of a scan.  A ``ResultStore`` only reads until its
+first :meth:`~ResultStore.append`, so the serving layer builds a fresh
+one per request while a runner appends.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from repro.campaign.spec import canonical_json
+from repro.util.durable import (
+    append_line,
+    encode_row,
+    publish,
+    read_jsonl,
+    repair_tail,
+)
 from repro.util.errors import CampaignError
 
 __all__ = [
@@ -49,10 +56,6 @@ ARTIFACTS_DIRNAME = "artifacts"
 _SUMMARY_FIELDS = ("scenario", "partitioner", "seed")
 
 
-def _encode(record: dict[str, Any]) -> str:
-    return canonical_json(record) + "\n"
-
-
 class ResultStore:
     """Per-cell result records for one campaign directory."""
 
@@ -62,42 +65,26 @@ class ResultStore:
         self.results_path = self.directory / RESULTS_NAME
         self.log_path = self.directory / LOG_NAME
         self.index_path = self.directory / INDEX_NAME
+        self._repaired = False
 
     # -- ingest --------------------------------------------------------
     def append(self, record: dict[str, Any]) -> None:
         """Durably append one completed-cell record to the ingest log."""
         if "cell_key" not in record:
             raise CampaignError("result record is missing 'cell_key'")
-        with open(self.log_path, "a", encoding="utf-8") as fh:
-            fh.write(_encode(record))
-            fh.flush()
-            os.fsync(fh.fileno())
+        if not self._repaired:
+            repair_tail(self.log_path)
+            self._repaired = True
+        append_line(self.log_path, encode_row(record))
 
     # -- reads ---------------------------------------------------------
-    def _read_jsonl(self, path: Path) -> Iterator[dict[str, Any]]:
-        if not path.is_file():
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn tail line from a crash mid-append: the cell
-                    # was never marked completed (the state checkpoint
-                    # happens after the fsync), so dropping it is safe.
-                    continue
-                if isinstance(record, dict) and "cell_key" in record:
-                    yield record
-
     def records(self) -> list[dict[str, Any]]:
         """All records, canonical first, deduped by cell key (first wins)."""
         seen: set[str] = set()
         out: list[dict[str, Any]] = []
         for path in (self.results_path, self.log_path):
-            for record in self._read_jsonl(path):
+            data = path.read_bytes() if path.is_file() else b""
+            for record in read_jsonl(data, "cell_key")[0]:
                 key = record["cell_key"]
                 if key in seen:
                     continue
@@ -138,15 +125,14 @@ class ResultStore:
         """Merge log into the canonical store; rewrite the index.
 
         Records are sorted by cell key and re-encoded canonically, then
-        both files are published atomically (tmp + rename).  Returns the
-        fresh index payload.
+        both files are published.  Returns the fresh index payload.
         """
         records = sorted(self.records(), key=lambda r: r["cell_key"])
         index: dict[str, Any] = {"num_cells": len(records), "cells": {}}
         offset = 0
         lines: list[str] = []
         for record in records:
-            line = _encode(record)
+            line = encode_row(record)
             nbytes = len(line.encode("utf-8"))
             summary = {
                 k: record.get(k) for k in _SUMMARY_FIELDS if k in record
@@ -159,15 +145,10 @@ class ResultStore:
             offset += nbytes
             lines.append(line)
 
-        tmp_results = self.results_path.with_suffix(".tmp")
-        tmp_results.write_text("".join(lines), encoding="utf-8")
-        tmp_results.replace(self.results_path)
-        tmp_index = self.index_path.with_suffix(".tmp")
-        tmp_index.write_text(
-            json.dumps(index, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
+        publish(self.results_path, "".join(lines))
+        publish(
+            self.index_path, json.dumps(index, sort_keys=True, indent=1) + "\n"
         )
-        tmp_index.replace(self.index_path)
         self.log_path.unlink(missing_ok=True)
         return index
 

@@ -1,20 +1,11 @@
 """Append-only execution-history store feeding the learned cost models.
 
 Every adaptive decision in :mod:`repro.learn.policy` is only as good as
-the history behind it, so the store borrows the campaign
-:class:`~repro.campaign.store.ResultStore` durability discipline
-wholesale via the shared :class:`~repro.learn.durable.DurableJsonlStore`
-base (the decision ledger in :mod:`repro.learn.audit` rides the same
-machinery):
-
-- appends go to ``history.jsonl`` and are **fsynced** before the call
-  returns -- a crash never loses an acknowledged observation;
-- reads tolerate a **torn tail** (a partial line from a crash
-  mid-append parses as garbage and is dropped, never raised);
-- an ``index.json`` sidecar records the exact ``(records, bytes)``
-  high-water mark and is published atomically (tmp + rename), so a
-  reopened store resumes from byte-identical state: the trusted prefix
-  is replayed verbatim and only unindexed bytes are re-validated.
+the history behind it, so the store is a
+:class:`~repro.util.durable.DurableJsonlStore` (as is the decision
+ledger in :mod:`repro.learn.audit`): ``history.jsonl`` plus an
+``index.json`` high-water mark, under the crash contract in
+``docs/ARCHITECTURE.md``.
 
 Rows are flat observations -- one ``(source, cell_key, phase, node, t,
 work, seconds, capacity, count)`` tuple per line -- ingested from three
@@ -34,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.learn.durable import DurableJsonlStore
+from repro.util.durable import DurableJsonlStore
 from repro.util.errors import ExperimentError
 
 __all__ = ["ExecutionHistoryStore", "HISTORY_NAME", "INDEX_NAME"]

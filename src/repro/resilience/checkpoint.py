@@ -21,8 +21,6 @@ produced.
 
 from __future__ import annotations
 
-import io
-import os
 import pickle
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +32,7 @@ import numpy as np
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.level import GridLevel
 from repro.amr.patch import GridPatch
+from repro.util.durable import TMP_SUFFIX, publish
 from repro.util.errors import CheckpointError
 from repro.util.geometry import Box
 from repro.util.hashing import checksum_bytes
@@ -276,21 +275,14 @@ class DirectoryCheckpointStore(CheckpointStore):
         return sorted(self.directory.glob("ckpt_*.rpck"))
 
     def save(self, ckpt: Checkpoint) -> None:
-        path = self.directory / f"ckpt_{ckpt.step:08d}.rpck"
-        tmp = path.with_suffix(".tmp")
-        with io.open(tmp, "wb") as f:
-            f.write(ckpt.to_bytes())
-            f.flush()
-            os.fsync(f.fileno())
-        tmp.replace(path)  # atomic publish: no torn snapshots
+        publish(self.directory / f"ckpt_{ckpt.step:08d}.rpck", ckpt.to_bytes())
         files = self._files()
         for old in files[: -self.keep_last]:
             old.unlink()
-        # A crash between write and rename leaves a stale .tmp behind;
-        # it never shadows a published snapshot, so sweep it here.
-        for stale in self.directory.glob("ckpt_*.tmp"):
-            if stale != tmp:
-                stale.unlink(missing_ok=True)
+        # A crash between write and rename leaves a stale tmp file
+        # behind; it never shadows a published snapshot, so sweep it.
+        for stale in self.directory.glob("ckpt_*" + TMP_SUFFIX):
+            stale.unlink(missing_ok=True)
 
     def latest(self) -> Checkpoint | None:
         files = self._files()
@@ -305,9 +297,9 @@ class DirectoryCheckpointStore(CheckpointStore):
         newest file (a crash mid-publish, bit rot) must not strand the
         older, intact snapshot -- recovery walks backwards and restores
         the first file that passes :meth:`Checkpoint.verify`.  Partial
-        writes never qualify in the first place: saves go through a
-        ``.tmp`` name that :meth:`_files` does not match until the atomic
-        rename publishes them.
+        writes never qualify in the first place: saves go through
+        :func:`~repro.util.durable.publish`, whose tmp name
+        :meth:`_files` does not match.
         """
         for path in reversed(self._files()):
             try:

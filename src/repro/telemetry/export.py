@@ -32,6 +32,7 @@ from repro.telemetry.spans import NullTracer, Span, Tracer
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
+    "jsonl_text",
     "write_jsonl",
     "aggregate_phases",
     "metrics_summary",
@@ -139,8 +140,8 @@ def write_chrome_trace(tracer: Tracer | NullTracer, path: str | os.PathLike) -> 
         json.dump(chrome_trace_events(tracer), fh)
 
 
-def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
-    """Write the raw span + event log, one JSON object per line.
+def jsonl_text(tracer: Tracer | NullTracer) -> str:
+    """The raw span + event log, one JSON object per line.
 
     Records are ordered by simulated start time (ties broken by span id)
     so the log reads chronologically.
@@ -151,9 +152,13 @@ def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
         key=lambda r: (r.get("start_sim", r.get("sim", 0.0)) or 0.0,
                        r.get("span_id", 0))
     )
+    return "".join(json.dumps(_jsonable(record)) + "\n" for record in records)
+
+
+def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
+    """Write :func:`jsonl_text` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(_jsonable(record)) + "\n")
+        fh.write(jsonl_text(tracer))
 
 
 def aggregate_phases(

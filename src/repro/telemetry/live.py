@@ -12,14 +12,15 @@ boundary.  This module is the bridge:
 - :func:`write_cell_bundle` persists a per-cell **artifact bundle**
   (span/event JSONL, collapsed-stack flamegraph, critical-path/profile
   summary JSON) into ``artifacts/<cell-key>/`` of the campaign
-  directory, each file published atomically.  The bundle doubles as the
+  directory, each file published under the crash contract in
+  ``docs/ARCHITECTURE.md``.  The bundle doubles as the
   execution-history store the learned-cost-model roadmap item consumes.
 - :class:`TelemetryDigest` / :func:`digest_from_record` compress a
   finished cell into the few hundred bytes the parent folds into its
   campaign-level :class:`~repro.telemetry.metrics.MetricsRegistry`.
 - :class:`ProgressLog` is the append-only ``events.jsonl`` progress log
   (epoch wall clock, one JSON object per line, O_APPEND single-line
-  writes so concurrent workers interleave without tearing).
+  writes so concurrent workers interleave whole lines).
 - :class:`LiveProgress` folds progress records into completion counts,
   throughput and an ETA -- shared by the SSE route in
   :mod:`repro.campaign.serve` and the ``repro campaign watch`` CLI.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.telemetry.export import _jsonable, write_jsonl
+from repro.telemetry.export import _jsonable, jsonl_text
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import (
     analyze_critical_path,
@@ -44,6 +45,7 @@ from repro.telemetry.profile import (
     registry_from_records,
 )
 from repro.telemetry.spans import NullTracer, Tracer
+from repro.util.durable import publish, read_jsonl
 
 __all__ = [
     "EVENTS_NAME",
@@ -112,15 +114,6 @@ def deterministic_tracer() -> Tracer:
 # ----------------------------------------------------------------------
 # Artifact bundles
 # ----------------------------------------------------------------------
-def _publish(path: Path, text: str) -> int:
-    """Write ``text`` via tmp + rename; return the byte size."""
-    data = text.encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-    return len(data)
-
-
 def write_cell_bundle(
     tracer: Tracer | NullTracer,
     directory: str | Path,
@@ -167,17 +160,15 @@ def write_cell_bundle(
     }
 
     manifest: dict[str, Any] = {"files": {}, "total_bytes": 0}
-    trace_path = directory / ARTIFACT_FILES["trace"]
-    tmp_trace = trace_path.with_name(trace_path.name + ".tmp")
-    write_jsonl(tracer, tmp_trace)
-    tmp_trace.replace(trace_path)
     sizes = {
-        "trace": trace_path.stat().st_size,
-        "flamegraph": _publish(
+        "trace": publish(
+            directory / ARTIFACT_FILES["trace"], jsonl_text(tracer)
+        ),
+        "flamegraph": publish(
             directory / ARTIFACT_FILES["flamegraph"],
             flamegraph_collapsed(records, run_labels=run_labels),
         ),
-        "profile": _publish(
+        "profile": publish(
             directory / ARTIFACT_FILES["profile"],
             json.dumps(_jsonable(profile_doc), sort_keys=True, indent=1)
             + "\n",
@@ -278,10 +269,13 @@ class ProgressLog:
     (``time.time()``): the one clock comparable across the orchestrator
     and every worker process, which is what throughput/ETA need.
 
-    Each append is a single ``write()`` of one newline-terminated line on
-    a file opened in append mode, so concurrent writers (pool workers
-    announcing ``live.cell_started``) interleave whole lines.  Readers
-    skip torn or foreign lines rather than failing.
+    Each append is a single unsynced ``write()`` of one
+    newline-terminated line on a file opened in append mode, so
+    concurrent writers (pool workers announcing ``live.cell_started``)
+    interleave whole lines.  Progress is telemetry, not an acknowledged
+    record: the campaign runner repairs the tail once per session,
+    before any worker forks (see the crash contract in
+    ``docs/ARCHITECTURE.md``).
     """
 
     def __init__(self, path: str | Path):
@@ -318,23 +312,7 @@ class ProgressLog:
             return [], offset
         with open(self.path, "rb") as fh:
             fh.seek(offset)
-            data = fh.read()
-        records: list[dict[str, Any]] = []
-        consumed = 0
-        for raw in data.split(b"\n"):
-            end = consumed + len(raw) + 1
-            if end > len(data):  # no trailing newline yet: torn tail
-                break
-            consumed = end
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if isinstance(record, dict) and "name" in record:
-                records.append(record)
+            records, consumed = read_jsonl(fh.read(), "name")
         return records, offset + consumed
 
 

@@ -72,6 +72,8 @@ EVENT_NAMES = frozenset(
         "recovery.complete",
         # campaign artifact bundles (emitted by the orchestrator tracer)
         "campaign.artifact.written",
+        # resume found ledger-completed cells with no store record
+        "campaign.record_missing",
         # live progress-log records (written by ProgressLog, mirrored
         # here so stream consumers share one registry with the tracer)
         "live.cell_started",

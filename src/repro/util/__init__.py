@@ -11,6 +11,7 @@ the cluster simulator and the partitioners are all expressed in terms of:
 - :mod:`repro.util.hashing` -- extendible hashing (Fagin et al.), the
   storage/access mechanism of the HDDA.
 - :mod:`repro.util.errors` -- exception hierarchy.
+- :mod:`repro.util.durable` -- the crash contract for every durable file.
 - :mod:`repro.util.config` -- small frozen configuration records.
 - :mod:`repro.util.rng` -- deterministic seeding helpers.
 """

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro.campaign.orchestrator as orch
 from repro.campaign import (
+    ARTIFACTS_DIRNAME,
     CampaignRunner,
     CampaignSpec,
+    ResultStore,
     campaign_status,
 )
+from repro.telemetry.live import ProgressLog
 from repro.telemetry.spans import Tracer
 from repro.util.errors import CampaignError
 
@@ -83,6 +88,92 @@ class TestRunAndResume:
         result = CampaignRunner(small_spec(), d, workers=2).run()
         assert result["complete"]
         assert result["executed"] == 4
+
+
+def tree_bytes(directory) -> dict[str, bytes]:
+    """``results.jsonl`` plus every artifact file, keyed by path."""
+    files = [directory / "results.jsonl"]
+    files += sorted((directory / ARTIFACTS_DIRNAME).rglob("*"))
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in files
+        if p.is_file()
+    }
+
+
+class TestCrashResume:
+    """Resume after a crash left a torn or missing line behind."""
+
+    def test_torn_result_log_tail_loses_no_record(self, tmp_path):
+        straight, torn = tmp_path / "s", tmp_path / "t"
+        CampaignRunner(small_spec(), straight).run()
+        CampaignRunner(small_spec(), torn).run(max_cells=2)
+        with open(torn / "results.log.jsonl", "ab") as fh:
+            fh.write(b'{"cell_key": "zz", "metr')  # crash mid-append
+        result = CampaignRunner(small_spec(), torn).run()
+        assert result["complete"]
+        keys = set(ResultStore(torn).keys())
+        assert keys == {c.key for c in small_spec().cells()}
+        assert campaign_status(torn)["store_records"] == 4
+        assert tree_bytes(torn) == tree_bytes(straight)
+
+    def test_torn_progress_tail_keeps_resumed_session(self, tmp_path):
+        d = tmp_path / "c"
+        CampaignRunner(small_spec(), d).run(max_cells=2)
+        log = ProgressLog(d / "events.jsonl")
+        with open(log.path, "ab") as fh:
+            fh.write(b'{"name": "live.cell_started", "attri')
+        CampaignRunner(small_spec(), d).run()
+        started = [r for r in log.read() if r["name"] == "campaign.started"]
+        assert len(started) == 2
+        assert started[1]["attributes"]["completed"] == 2
+
+    def test_missing_record_reruns_exactly_that_cell(self, tmp_path):
+        straight, d = tmp_path / "s", tmp_path / "c"
+        CampaignRunner(small_spec(), straight).run()
+        CampaignRunner(small_spec(), d).run()
+        lines = (d / "results.jsonl").read_bytes().splitlines(True)
+        lost = json.loads(lines.pop(1))["cell_key"]
+        (d / "results.jsonl").write_bytes(b"".join(lines))
+        status = campaign_status(d)
+        assert status["store_records"] == 3
+        assert not status["complete"]
+
+        tracer = Tracer()
+        runner = CampaignRunner(small_spec(), d, tracer=tracer)
+        missing = [
+            e for e in tracer.events if e.name == "campaign.record_missing"
+        ]
+        assert [e.attributes["count"] for e in missing] == [1]
+        result = runner.run()
+        assert result["complete"]
+        assert result["executed"] == 1
+        spans = list(tracer.spans_named("campaign.cell"))
+        assert [s.attributes["cell_key"] for s in spans] == [lost]
+        ordinals = list(runner.state.completed.values())
+        assert len(set(ordinals)) == len(ordinals) == 4
+        assert campaign_status(d)["complete"]
+        assert tree_bytes(d) == tree_bytes(straight)
+
+    def test_corrected_ledger_is_the_newest_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        d = tmp_path / "c"
+        CampaignRunner(small_spec(), d).run()
+        lines = (d / "results.jsonl").read_bytes().splitlines(True)
+        lost = json.loads(lines.pop())["cell_key"]
+        (d / "results.jsonl").write_bytes(b"".join(lines))
+
+        def broken(cell_dict, *args):
+            raise RuntimeError("down")
+
+        monkeypatch.setattr(orch, "execute_cell", broken)
+        CampaignRunner(small_spec(), d).run()
+        # The failure was saved with three cells completed; it must not
+        # sort below the stale four-cell snapshot it corrects.
+        restored = CampaignRunner(small_spec(), d).state
+        assert list(restored.failed) == [lost]
+        assert restored.num_completed == 3
 
 
 class TestFailures:
