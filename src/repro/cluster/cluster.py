@@ -165,12 +165,6 @@ class Cluster:
     def down_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self._down_since))
 
-    @property
-    def live_nodes(self) -> tuple[int, ...]:
-        return tuple(
-            k for k in range(self.num_nodes) if k not in self._down_since
-        )
-
     def live_mask(self) -> np.ndarray:
         """Boolean per-node liveness vector."""
         mask = np.ones(self.num_nodes, dtype=bool)

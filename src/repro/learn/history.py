@@ -115,30 +115,6 @@ class ExecutionHistoryStore(DurableJsonlStore):
         }
         return self._append_row(row)
 
-    def ingest_digest(self, digest: Any) -> int:
-        """Ingest a :class:`~repro.telemetry.live.TelemetryDigest`.
-
-        One row per phase (aggregate across nodes), stamped with the
-        cell key so re-ingestion is idempotent.  Returns rows added.
-        """
-        cell_key = str(getattr(digest, "cell_key", "") or "")
-        if cell_key and cell_key in self._sources:
-            return 0
-        added = 0
-        sim_seconds = float(getattr(digest, "sim_seconds", 0.0))
-        for phase, seconds in sorted(getattr(digest, "phases", {}).items()):
-            self.record(
-                source="digest",
-                cell_key=cell_key,
-                phase=phase,
-                seconds=float(seconds),
-                t=sim_seconds,
-            )
-            added += 1
-        if added:
-            self.checkpoint()
-        return added
-
     def ingest_profile(
         self, profile: dict[str, Any], cell_key: str | None = None
     ) -> int:

@@ -31,7 +31,6 @@ from repro.amr.hierarchy import GridHierarchy
 from repro.amr.integrator import BergerOligerIntegrator
 from repro.amr.regrid import RegridParams
 from repro.cluster.cluster import Cluster
-from repro.learn.policy import NULL_LEARNER
 from repro.monitor.service import ResourceMonitor
 from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator
@@ -39,9 +38,8 @@ from repro.partition.workmodel import WorkModel
 from repro.resilience.checkpoint import CheckpointManager, ResilienceConfig
 from repro.runtime.pipeline import RepartitionPipeline
 from repro.runtime.timemodel import TimeModel
-from repro.telemetry.spans import NullTracer, Tracer, get_active_tracer
+from repro.telemetry.spans import NullTracer, Tracer
 from repro.util.errors import SimulationError
-from repro.util.geometry import Box
 
 __all__ = ["DistributedRunConfig", "DistributedRunResult", "DistributedAmrRun"]
 
@@ -119,14 +117,27 @@ class DistributedAmrRun:
         self.hierarchy = hierarchy
         self.cluster = cluster
         self.partitioner = partitioner
-        self.monitor = monitor or ResourceMonitor(cluster)
-        self.capacity = capacity_calculator or CapacityCalculator()
         self.config = config or DistributedRunConfig()
-        self.time_model = time_model or TimeModel(cluster)
-        self.tracer = tracer if tracer is not None else get_active_tracer()
-        if self.tracer.enabled:
-            self.partitioner.set_tracer(self.tracer)
-            self.monitor.tracer = self.tracer
+        # Shared mechanics, loop control and default collaborators (see
+        # the engine).
+        self.pipeline = RepartitionPipeline(
+            cluster=cluster,
+            partitioner=partitioner,
+            monitor=monitor,
+            capacity=capacity_calculator,
+            time_model=time_model,
+            tracer=tracer,
+            work_model=WorkModel(hierarchy.refine_factor),
+            bytes_per_cell=self.bytes_per_cell,
+            ghost_width=hierarchy.kernel.ghost_width,
+            refine_factor=hierarchy.refine_factor,
+            learner=learn,
+        )
+        self.monitor = self.pipeline.monitor
+        self.capacity = self.pipeline.capacity
+        self.time_model = self.pipeline.time_model
+        self.tracer = self.pipeline.tracer
+        self.learn = self.pipeline.learner
         self.integrator = BergerOligerIntegrator(
             hierarchy,
             cfl=self.config.cfl,
@@ -134,24 +145,8 @@ class DistributedAmrRun:
             regrid_params=regrid_params,
             on_regrid=self._on_regrid,
         )
-        # Learned policies behind the tracer's inert-default pattern.
-        self.learn = learn if learn is not None else NULL_LEARNER
-        # Shared sense/partition/migrate/plan mechanics (see the engine).
-        self.pipeline = RepartitionPipeline(
-            cluster=cluster,
-            partitioner=partitioner,
-            monitor=self.monitor,
-            capacity=self.capacity,
-            time_model=self.time_model,
-            tracer=self.tracer,
-            work_model=WorkModel(hierarchy.refine_factor),
-            bytes_per_cell=self.bytes_per_cell,
-            ghost_width=hierarchy.kernel.ghost_width,
-            refine_factor=hierarchy.refine_factor,
-            learner=self.learn,
-        )
         self._capacities: np.ndarray | None = None
-        self._result: DistributedRunResult | None = None
+        self._result = DistributedRunResult()
         # Checkpoint/restart + failure-aware repartitioning (opt-in; the
         # default path is byte-identical to the resilience-free runtime).
         self.resilience = resilience
@@ -160,19 +155,11 @@ class DistributedAmrRun:
             if resilience is not None
             else None
         )
-        self._partition_live: frozenset[int] | None = None
 
     # ------------------------------------------------------------------
-    def _work_of(self, box: Box) -> float:
-        return self.pipeline.work_model.work(box)
-
     @property
     def bytes_per_cell(self) -> float:
         return self.config.bytes_per_field_cell * self.hierarchy.kernel.num_fields
-
-    @property
-    def _assignment(self) -> list[tuple[Box, int]]:
-        return self.pipeline.prev_assignment
 
     def owned_loads(self) -> np.ndarray:
         """Per-rank work of the current assignment (cached work vector)."""
@@ -181,18 +168,14 @@ class DistributedAmrRun:
             return np.zeros(self.cluster.num_nodes)
         return out.part.loads()
 
-    def owner_map(self) -> dict[Box, int]:
-        return dict(self._assignment)
-
     # ------------------------------------------------------------------
     def _sense(self) -> None:
         out = self.pipeline.sense()
         self._capacities = out.capacities
         result = self._result
-        if result is not None:
-            result.sensing_seconds += out.overhead_seconds
-            result.num_sensings += 1
-            result.capacities_history.append(out.capacities.copy())
+        result.sensing_seconds += out.overhead_seconds
+        result.num_sensings += 1
+        result.capacities_history.append(out.capacities.copy())
 
     def _repatch(self, part) -> None:
         # Turn the partitioner's (possibly split) boxes into patch
@@ -208,7 +191,7 @@ class DistributedAmrRun:
         if self._capacities is None:
             self._sense()
         boxes = hierarchy.box_list()
-        if self.resilience is not None and not self.monitor.trusted_mask().all():
+        if self.resilience is not None and self.pipeline.degraded():
             # Regrid while part of the cluster is out: partition over the
             # survivors only (the recovery stage handles remapping).
             out = self.pipeline.recover(
@@ -221,103 +204,56 @@ class DistributedAmrRun:
             out = self.pipeline.repartition(
                 boxes, self._capacities, before_migrate=self._repatch
             )
-        self._partition_live = self._trusted_live()
         result = self._result
-        if result is not None:
-            result.migration_seconds += out.migration_seconds
-            result.num_regrids += 1
-            result.loads_history.append(out.loads)
+        result.migration_seconds += out.migration_seconds
+        result.num_regrids += 1
+        result.loads_history.append(out.loads)
 
     # ------------------------------------------------------------------
     def run(self) -> DistributedRunResult:
         """Set up and execute ``config.steps`` coarse steps."""
+        cfg = self.config
+        pipeline = self.pipeline
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin_run(
-                f"DistributedAmrRun[{self.partitioner.name}]",
-                sim_clock=lambda: self.cluster.clock.now,
-            )
-            self.cluster.attach_tracer(tracer)
-        self._result = DistributedRunResult()
-        result = self._result
-        with tracer.span(
-            "run",
-            partitioner=self.partitioner.name,
-            num_nodes=self.cluster.num_nodes,
-            steps=self.config.steps,
-        ):
+        learn = self.learn
+        self._result = result = DistributedRunResult()
+        with pipeline.run_frame("DistributedAmrRun", steps=cfg.steps):
             self._sense()
             self.integrator.setup()
             if self.ckpt_manager is not None:
                 # Baseline snapshot: a crash before the first cadence save
                 # restores to the initial state and replays everything.
                 self._checkpoint()
-            cfg = self.config
-            learn = self.learn
-            learned_sensing = learn.enabled and learn.config.adaptive_sensing
             last_sense_step = self.hierarchy.step_count
             target = self.hierarchy.step_count + cfg.steps
             while self.hierarchy.step_count < target:
-                step = self.hierarchy.step_count
                 if self.ckpt_manager is not None:
-                    recovered = self._maybe_recover()
-                    if recovered:
-                        step = self.hierarchy.step_count
-                due_fixed = (
-                    not learned_sensing
-                    and cfg.sensing_interval
-                    and step > 0
-                    and step % cfg.sensing_interval == 0
-                )
-                due_learned = learned_sensing and learn.sense_due(
-                    step, last_sense_step
-                )
-                if due_fixed or due_learned:
+                    self._maybe_recover()
+                step = self.hierarchy.step_count
+                if pipeline.sense_due(
+                    step, last_sense_step, cfg.sensing_interval
+                ):
                     self._sense()
                     last_sense_step = step
-                    if learn.enabled and learn.config.transient_forecast:
-                        self._capacities = learn.effective_capacities(
-                            self._capacities, self.cluster.clock.now
-                        )
-                    if learn.enabled and learn.config.payoff_gate:
-                        # Mid-epoch redistribution is new capability the
-                        # gate unlocks: between regrids the paper's loop
-                        # rides out any imbalance, but when the priced
-                        # payoff beats the migration bill we repartition
-                        # the *current* patch layout early.
-                        horizon = (
-                            cfg.regrid_interval
-                            - step % cfg.regrid_interval
-                            if cfg.regrid_interval
-                            else cfg.sensing_interval or 1
-                        )
-                        decision = learn.repartition_decision(
-                            self.owned_loads(),
-                            self._capacities,
-                            horizon,
-                            iteration=step,
-                            t=self.cluster.clock.now,
-                        )
-                        if decision.repartition:
-                            out = self.pipeline.repartition(
-                                self.hierarchy.box_list(),
-                                self._capacities,
-                                migrate_attrs={"trigger": "sense"},
-                                before_migrate=self._repatch,
-                            )
-                            if result is not None:
-                                result.migration_seconds += (
-                                    out.migration_seconds
-                                )
-                                result.loads_history.append(out.loads)
+                    self._capacities = pipeline.effective_capacities(
+                        self._capacities
+                    )
+                    # A fault during the sense leaves recovery to the next
+                    # step; redistributing now would price a dead node.
+                    if (
+                        learn.enabled
+                        and learn.config.payoff_gate
+                        and not self._recovery_due()
+                    ):
+                        self._gate(step)
                 step_start = self.cluster.clock.now
                 try:
                     with tracer.span("advance", step=step):
                         self.integrator.advance()
                     loads = self.owned_loads()
-                    current = self.pipeline.last
+                    current = pipeline.last
                     volumes = (
-                        self.pipeline.exchange_plan(current)
+                        pipeline.exchange_plan(current)
                         if current is not None
                         else {}
                     )
@@ -326,49 +262,65 @@ class DistributedAmrRun:
                     # A fault landed mid-step (dead endpoint in a planned
                     # transfer, dead rank still owning work): abort the
                     # step; the recovery stage restores and replays it.
-                    if self.ckpt_manager is None or not (
-                        self.pipeline.needs_recovery()
-                        or self._trusted_live() != self._partition_live
-                    ):
+                    if not self._recovery_due():
                         raise
                     tracer.event("fault.step_aborted", step=step)
                     continue
-                self.cluster.clock.advance(cost.total)
-                if tracer.enabled:
-                    self._emit_step_spans(step, step_start, cost)
-                    tracer.metrics.histogram("step_seconds").observe(
-                        cost.total
-                    )
+                pipeline.end_step(
+                    step_start,
+                    cost,
+                    step=step,
+                    loads=loads,
+                    capacities=self._capacities,
+                    histogram="step_seconds",
+                    attrs=lambda: {"step": step, **self._health_attrs()},
+                )
                 result.step_seconds.append(cost.total)
                 result.steps += 1
-                if learn.enabled and self._capacities is not None:
-                    learn.observe_iteration(
-                        step,
-                        self.cluster.clock.now,
-                        loads,
-                        self._capacities,
-                        cost,
-                    )
                 if (
                     self.ckpt_manager is not None
                     and self.ckpt_manager.due(self.hierarchy.step_count)
                 ):
                     self._checkpoint()
         result.total_seconds = self.cluster.clock.now
-        result.replayed_steps = max(0, result.steps - self.config.steps)
-        if tracer.enabled:
-            tracer.metrics.counter("total_sim_seconds").inc(
-                result.total_seconds
-            )
+        result.replayed_steps = max(0, result.steps - cfg.steps)
         return result
+
+    def _gate(self, step: int) -> None:
+        """Mid-epoch redistribution when the priced payoff beats the bill.
+
+        Between regrids the paper's loop rides out any imbalance; the
+        learner's payoff gate unlocks repartitioning the *current* patch
+        layout early.
+        """
+        cfg = self.config
+        horizon = (
+            cfg.regrid_interval - step % cfg.regrid_interval
+            if cfg.regrid_interval
+            else cfg.sensing_interval or 1
+        )
+        decision = self.learn.repartition_decision(
+            self.owned_loads(),
+            self._capacities,
+            horizon,
+            iteration=step,
+            t=self.cluster.clock.now,
+        )
+        if decision.repartition:
+            out = self.pipeline.repartition(
+                self.hierarchy.box_list(),
+                self._capacities,
+                migrate_attrs={"trigger": "sense"},
+                before_migrate=self._repatch,
+            )
+            self._result.migration_seconds += out.migration_seconds
+            self._result.loads_history.append(out.loads)
 
     # ------------------------------------------------------------------
     # Resilience: checkpointing and the recovery stage
     # ------------------------------------------------------------------
-    def _trusted_live(self) -> frozenset[int]:
-        return frozenset(
-            int(k) for k in np.flatnonzero(self.monitor.trusted_mask())
-        )
+    def _recovery_due(self) -> bool:
+        return self.ckpt_manager is not None and self.pipeline.recovery_due()
 
     def _checkpoint(self) -> None:
         """Snapshot hierarchy + assignment, charging storage I/O time."""
@@ -381,12 +333,10 @@ class DistributedAmrRun:
         io_s = manager.io_seconds(ckpt.nbytes)
         if self.resilience.charge_io_time:
             self.cluster.clock.advance(io_s)
-        result = self._result
-        if result is not None:
-            result.num_checkpoints += 1
-            result.checkpoint_seconds += io_s
+        self._result.num_checkpoints += 1
+        self._result.checkpoint_seconds += io_s
 
-    def _maybe_recover(self) -> bool:
+    def _maybe_recover(self) -> None:
         """Run the recovery stage when the trusted rank set changed.
 
         Two triggers: a box-owning rank is down (data loss -- restore the
@@ -394,13 +344,13 @@ class DistributedAmrRun:
         from the one the current partition was computed over (a node was
         evicted, or a recovered node should be grown onto again).
         """
-        data_lost = self.pipeline.needs_recovery()
-        if not data_lost and self._trusted_live() == self._partition_live:
-            return False
+        if not self.pipeline.recovery_due():
+            return
         tracer = self.tracer
         manager = self.ckpt_manager
         result = self._result
         dead_owners = self.pipeline.dead_owner_ranks()
+        data_lost = bool(dead_owners)
         t0 = self.cluster.clock.now
         with tracer.span(
             "recovery",
@@ -419,8 +369,7 @@ class DistributedAmrRun:
                     # Price evacuation against the layout that was live at
                     # save time, not the doomed post-crash layout.
                     self.pipeline.prev_assignment = saved_assignment
-                if result is not None:
-                    result.num_restores += 1
+                result.num_restores += 1
             self._sense()  # fresh capacities over the surviving rank set
             out = self.pipeline.recover(
                 self.hierarchy.box_list(),
@@ -428,37 +377,25 @@ class DistributedAmrRun:
                 before_migrate=self._repatch,
                 storage_bandwidth_mbps=self.resilience.storage_bandwidth_mbps,
             )
-            self._partition_live = self._trusted_live()
-            if result is not None:
-                result.num_recoveries += 1
-                result.migration_seconds += out.migration_seconds
-                result.loads_history.append(out.loads)
-                result.recovery_seconds += self.cluster.clock.now - t0
+            result.num_recoveries += 1
+            result.migration_seconds += out.migration_seconds
+            result.loads_history.append(out.loads)
+            result.recovery_seconds += self.cluster.clock.now - t0
         tracer.event(
             "recovery.complete",
             resumed_step=self.hierarchy.step_count,
-            num_live=len(self._partition_live),
+            num_live=int(self.monitor.trusted_mask().sum()),
             recovery_seconds=self.cluster.clock.now - t0,
         )
-        return True
 
     def _health_attrs(self) -> dict:
-        """Health signals for one step's iteration span (see the pipeline)."""
-        result = self._result
-        epoch = result.num_regrids if result is not None else 0
-        imbalance = None
-        if self._assignment and self._capacities is not None:
-            loads = self.owned_loads()
-            targets = self._capacities * loads.sum()
-            ok = targets > 0
-            if ok.any():
-                imbalance = (
-                    np.abs(loads[ok] - targets[ok]) / targets[ok] * 100.0
-                )
-        return self.pipeline.health_attrs(epoch, imbalance)
+        """Health signals for one step's iteration span (see the pipeline).
 
-    def _emit_step_spans(self, step, start_sim, cost) -> None:
-        """Per-rank simulated-time tracks for one priced coarse step."""
-        self.pipeline.emit_iteration_spans(
-            start_sim, cost, {"step": step, **self._health_attrs()}
-        )
+        Before the first partition every load is zero, so no rank has a
+        target and no imbalance is published.
+        """
+        loads = self.owned_loads()
+        targets = self._capacities * loads.sum()
+        ok = targets > 0
+        imbalance = np.abs(loads[ok] - targets[ok]) / targets[ok] * 100.0
+        return self.pipeline.health_attrs(self._result.num_regrids, imbalance)

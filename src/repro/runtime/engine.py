@@ -28,7 +28,6 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.hdda import HDDA, HierarchicalIndexSpace
 from repro.kernels.workloads import SyntheticWorkload
-from repro.learn.policy import NULL_LEARNER
 from repro.monitor.service import ResourceMonitor
 from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator
@@ -36,7 +35,7 @@ from repro.partition.workmodel import WorkModel
 from repro.resilience.checkpoint import ResilienceConfig
 from repro.runtime.pipeline import RepartitionPipeline
 from repro.runtime.timemodel import TimeModel
-from repro.telemetry.spans import NullTracer, Tracer, get_active_tracer
+from repro.telemetry.spans import NullTracer, Tracer
 from repro.util.errors import SimulationError
 
 __all__ = ["RuntimeConfig", "RegridRecord", "RunResult", "SamrRuntime"]
@@ -184,18 +183,29 @@ class SamrRuntime:
         self.workload = workload
         self.cluster = cluster
         self.partitioner = partitioner
-        self.monitor = monitor or ResourceMonitor(cluster)
-        self.capacity = capacity_calculator or CapacityCalculator()
         self.config = config or RuntimeConfig()
-        self.time_model = time_model or TimeModel(cluster)
-        # Telemetry is injectable and defaults to the ambient tracer
-        # (the shared no-op unless `repro.telemetry.activate` installed
-        # one); an enabled tracer is propagated to every collaborator so
-        # partition/probe/cluster spans land in the same trace.
-        self.tracer = tracer if tracer is not None else get_active_tracer()
-        if self.tracer.enabled:
-            self.partitioner.set_tracer(self.tracer)
-            self.monitor.tracer = self.tracer
+        # The pipeline holds the stage mechanics and the shared loop
+        # control, and supplies the default collaborators (the ambient
+        # tracer, the inert NULL_LEARNER); the runtime keeps what a
+        # trace-replay step is.
+        self.pipeline = RepartitionPipeline(
+            cluster=cluster,
+            partitioner=partitioner,
+            monitor=monitor,
+            capacity=capacity_calculator,
+            time_model=time_model,
+            tracer=tracer,
+            work_model=WorkModel(workload.refine_factor),
+            bytes_per_cell=self.config.bytes_per_cell,
+            ghost_width=self.config.ghost_width,
+            refine_factor=workload.refine_factor,
+            learner=learn,
+        )
+        self.monitor = self.pipeline.monitor
+        self.capacity = self.pipeline.capacity
+        self.time_model = self.pipeline.time_model
+        self.tracer = self.pipeline.tracer
+        self.learn = self.pipeline.learner
         space = HierarchicalIndexSpace(
             workload.domain,
             max_levels=max(
@@ -208,25 +218,6 @@ class SamrRuntime:
             num_procs=cluster.num_nodes,
             bytes_per_cell=int(self.config.bytes_per_cell),
         )
-        # Learned policies are injectable with an inert default, exactly
-        # like the tracer: NULL_LEARNER has enabled=False, every decision
-        # point guards on it, and the unlearned loop stays byte-identical.
-        self.learn = learn if learn is not None else NULL_LEARNER
-        # All sense/partition/migrate/plan mechanics live in the shared
-        # pipeline; the runtime keeps only loop control and bookkeeping.
-        self.pipeline = RepartitionPipeline(
-            cluster=cluster,
-            partitioner=partitioner,
-            monitor=self.monitor,
-            capacity=self.capacity,
-            time_model=self.time_model,
-            tracer=self.tracer,
-            work_model=WorkModel(workload.refine_factor),
-            bytes_per_cell=self.config.bytes_per_cell,
-            ghost_width=self.config.ghost_width,
-            refine_factor=workload.refine_factor,
-            learner=self.learn,
-        )
         self._level_loads = np.zeros((1, cluster.num_nodes))
         self._subcycles = np.ones(1)
         # Failure-aware repartitioning (opt-in).  A trace run has no grid
@@ -234,16 +225,8 @@ class SamrRuntime:
         # repartitioning the current epoch over the surviving rank set,
         # with orphaned boxes priced as checkpoint-storage reads.
         self.resilience = resilience
-        self._partition_live: frozenset[int] | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def _prev_assignment(self) -> list[tuple]:
-        return self.pipeline.prev_assignment
-
-    def _work_of(self, box) -> float:
-        return self.pipeline.work_model.work(box)
-
     def _sense(self, result: RunResult) -> np.ndarray:
         """Probe the cluster, charge overhead, return fresh capacities."""
         out = self.pipeline.sense(
@@ -275,11 +258,7 @@ class SamrRuntime:
         cells priced as checkpoint-storage reads.
         """
         boxes = self.workload.epoch(min(epoch_idx, self.workload.num_regrids - 1))
-        degraded = self.resilience is not None and (
-            not bool(self.monitor.trusted_mask().all())
-            or self.pipeline.needs_recovery()
-        )
-        if degraded:
+        if self.resilience is not None and self.pipeline.degraded():
             trigger = "recovery"
             out = self.pipeline.recover(
                 boxes,
@@ -295,8 +274,6 @@ class SamrRuntime:
                 on_apply=self.hdda.apply_assignment,
                 stats=True,
             )
-        if self.resilience is not None:
-            self._partition_live = self._trusted_live()
         result.migration_seconds += out.migration_seconds
         # Per-level load matrix for the per-level synchronization model.
         levels, self._level_loads = out.level_loads(self.cluster.num_nodes)
@@ -320,24 +297,8 @@ class SamrRuntime:
         return out.loads, volumes
 
     # ------------------------------------------------------------------
-    def _trusted_live(self) -> frozenset[int]:
-        """Ranks that are up and not evicted by the escalation policy."""
-        return frozenset(
-            int(i) for i in np.flatnonzero(self.monitor.trusted_mask())
-        )
-
     def _recovery_due(self) -> bool:
-        """Whether the trusted rank set no longer matches the partition.
-
-        Covers both directions: a box owner died (evacuate + shrink) and a
-        previously dead/evicted node rejoined (grow back over it).
-        """
-        if self.resilience is None:
-            return False
-        return (
-            self.pipeline.needs_recovery()
-            or self._trusted_live() != self._partition_live
-        )
+        return self.resilience is not None and self.pipeline.recovery_due()
 
     def _price(self, loads: np.ndarray, volumes: dict):
         if self.config.sync_mode == "per_level":
@@ -353,43 +314,28 @@ class SamrRuntime:
 
     def run(self) -> RunResult:
         """Execute the configured number of iterations; returns the record."""
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin_run(
-                f"SamrRuntime[{self.partitioner.name}]",
-                sim_clock=lambda: self.cluster.clock.now,
-            )
-            self.cluster.attach_tracer(tracer)
-        with tracer.span(
-            "run",
-            partitioner=self.partitioner.name,
-            num_nodes=self.cluster.num_nodes,
-            iterations=self.config.iterations,
+        with self.pipeline.run_frame(
+            "SamrRuntime", iterations=self.config.iterations
         ):
             result = self._run_loop()
-        if tracer.enabled:
-            metrics = tracer.metrics
-            metrics.counter("total_sim_seconds").inc(result.total_seconds)
-            metrics.counter("iterations").inc(result.iterations)
+        if self.tracer.enabled:
+            self.tracer.metrics.counter("iterations").inc(result.iterations)
         return result
-
-    def _learned_capacities(self, capacities: np.ndarray) -> np.ndarray:
-        """Swap in the transient forecast when that behavior is active."""
-        learn = self.learn
-        if learn.enabled and learn.config.transient_forecast:
-            return learn.effective_capacities(
-                capacities, self.cluster.clock.now
-            )
-        return capacities
 
     def _run_loop(self) -> RunResult:
         cfg = self.config
+        pipeline = self.pipeline
         tracer = self.tracer
         learn = self.learn
-        learned_sensing = learn.enabled and learn.config.adaptive_sensing
+        # Deviation-triggered sensing replaces the fixed cadence.
+        interval = (
+            cfg.sensing_interval
+            if cfg.adaptive_sensing_threshold is None
+            else 0
+        )
         result = RunResult()
-        capacities = self._sense(result)  # sense once before the start
-        capacities = self._learned_capacities(capacities)
+        # Sense once before the start.
+        capacities = pipeline.effective_capacities(self._sense(result))
         loads, volumes = self._repartition(0, capacities, result)
         epoch = 0
         baseline: float | None = None  # adaptive-sensing reference time
@@ -406,24 +352,15 @@ class SamrRuntime:
                 adaptive_pending = False
                 last_sense_iter = it
             sensed = False
-            due_fixed = (
-                cfg.adaptive_sensing_threshold is None
-                and not learned_sensing
-                and it > 0
-                and cfg.sensing_interval
-                and it % cfg.sensing_interval == 0
-            )
+            due = pipeline.sense_due(it, last_sense_iter, interval)
             due_adaptive = adaptive_pending and (
                 cfg.sensing_interval == 0
                 or it - last_sense_iter >= cfg.sensing_interval
             )
-            # Learned cadence: the drift model replaces the fixed f.
-            due_learned = learned_sensing and learn.sense_due(
-                it, last_sense_iter
-            )
-            if due_fixed or due_adaptive or due_learned:
-                capacities = self._sense(result)
-                capacities = self._learned_capacities(capacities)
+            if due or due_adaptive:
+                capacities = pipeline.effective_capacities(
+                    self._sense(result)
+                )
                 sensed = True
                 adaptive_pending = False
                 last_sense_iter = it
@@ -471,24 +408,19 @@ class SamrRuntime:
                 last_sense_iter = it
                 iteration_start = self.cluster.clock.now
                 cost = self._price(loads, volumes)
-            self.cluster.clock.advance(cost.total)
-            if tracer.enabled:
-                self.pipeline.emit_iteration_spans(
-                    iteration_start,
-                    cost,
-                    {"iteration": it, **self._health_attrs(result)},
-                )
-                tracer.metrics.histogram("iteration_seconds").observe(
-                    cost.total
-                )
+            pipeline.end_step(
+                iteration_start,
+                cost,
+                step=it,
+                loads=loads,
+                capacities=capacities,
+                histogram="iteration_seconds",
+                attrs=lambda: {"iteration": it, **self._health_attrs(result)},
+            )
             result.iteration_times.append(cost.total)
             result.compute_seconds += float(cost.compute.max())
             result.comm_seconds += float(cost.comm.max() + cost.sync)
             result.iterations += 1
-            if learn.enabled:
-                learn.observe_iteration(
-                    it, self.cluster.clock.now, loads, capacities, cost
-                )
             theta = cfg.adaptive_sensing_threshold
             if theta is not None:
                 # Deviation from the post-repartition reference signals a

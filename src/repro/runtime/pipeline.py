@@ -6,7 +6,7 @@ the same sense -> capacity -> partition -> migrate -> exchange-plan cycle
 from the paper's runtime architecture (section 5, fig. 5); they used to
 carry private near-duplicate implementations of it, down to the telemetry
 spans.  :class:`RepartitionPipeline` is that cycle as one object with one
-composable method per stage:
+composable method per stage, plus the loop control both runtimes share:
 
 ``sense()``
     Probe the resource monitor, charge the probe overhead to the cluster
@@ -26,20 +26,27 @@ composable method per stage:
     health attributes the :class:`~repro.telemetry.analysis.HealthMonitor`
     and the HTML dashboard consume, and the per-rank
     compute/ghost-exchange/sync simulated-time tracks.
+``run_frame()`` / ``recovery_due()`` / ``sense_due()`` / ``end_step()``
+    Loop control: the traced ``run`` frame, the trusted rank set the
+    current partition was computed over, the sensing cadence (fixed or
+    learned) with the learner's transient-forecast swap, and the step
+    epilogue (clock, iteration spans, step histogram, learner).
 
 Runtime-specific details stay with the runtimes and enter as small
 arguments or callbacks: extra span attributes (``iteration`` /
 ``trigger``), per-node gauge emission, the HDDA assignment application
 (engine) and the hierarchy repatch between partition and migration
-(distributed).  The stage structure, span nesting, attribute ordering and
-metric creation order are exactly those of the loops this replaces --
-exported traces are byte-identical.
+(distributed).  What a step is, where regrids come from and how a
+mid-step fault is handled also stay there.  The stage structure, span
+nesting, attribute ordering and metric creation order are exactly those
+of the loops this replaces -- exported traces are byte-identical.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +62,7 @@ from repro.partition.metrics import (
 )
 from repro.partition.workmodel import WorkFunction, WorkModel, as_work_model
 from repro.runtime.timemodel import IterationCost, TimeModel
+from repro.telemetry.spans import get_active_tracer
 from repro.util.errors import ResilienceError
 from repro.util.geometry import Box, BoxList
 
@@ -123,10 +131,14 @@ class RepartitionPipeline:
     Parameters
     ----------
     cluster, partitioner, monitor, capacity, time_model:
-        The collaborators both runtimes already wire up.
+        The collaborators of one run; ``None`` gives the defaults
+        (a :class:`ResourceMonitor` and a :class:`TimeModel` over
+        ``cluster``, a :class:`CapacityCalculator` with equal weights).
     tracer:
-        Telemetry sink; every stage stamps the same spans/metrics the
-        runtime loops historically emitted.
+        Telemetry sink (``None`` -> the ambient tracer, the shared no-op
+        unless :func:`repro.telemetry.activate` installed one).  An
+        enabled tracer is propagated to the partitioner and the monitor,
+        so their spans land in the same trace.
     work_model:
         The :class:`WorkModel` pricing boxes throughout the pipeline
         (``None`` -> default Berger-Oliger model with ``refine_factor``;
@@ -146,10 +158,10 @@ class RepartitionPipeline:
         *,
         cluster: Cluster,
         partitioner: Partitioner,
-        monitor: ResourceMonitor,
-        capacity: CapacityCalculator,
-        time_model: TimeModel,
-        tracer,
+        monitor: ResourceMonitor | None = None,
+        capacity: CapacityCalculator | None = None,
+        time_model: TimeModel | None = None,
+        tracer=None,
         work_model: WorkModel | WorkFunction | None = None,
         bytes_per_cell: float = 40.0,
         ghost_width: int = 1,
@@ -158,10 +170,14 @@ class RepartitionPipeline:
     ):
         self.cluster = cluster
         self.partitioner = partitioner
-        self.monitor = monitor
-        self.capacity = capacity
-        self.time_model = time_model
+        self.monitor = monitor or ResourceMonitor(cluster)
+        self.capacity = capacity or CapacityCalculator()
+        self.time_model = time_model or TimeModel(cluster)
+        tracer = tracer if tracer is not None else get_active_tracer()
         self.tracer = tracer
+        if tracer.enabled:
+            partitioner.set_tracer(tracer)
+            self.monitor.tracer = tracer
         self.learner = learner if learner is not None else NULL_LEARNER
         if self.learner.enabled:
             self.learner.bind(tracer, cluster.num_nodes)
@@ -173,7 +189,7 @@ class RepartitionPipeline:
         # collective histograms, per-exchange comm.exchange events) so
         # the communication profiler sees the same costs the time model
         # charges.  A disabled tracer keeps the communicator silent.
-        if getattr(tracer, "enabled", False):
+        if tracer.enabled:
             self.time_model.comm.bind_tracer(tracer)
         # Assignment of the previous epoch (diffed for migration volume),
         # held as columns; the pair list view materializes only if an
@@ -183,6 +199,8 @@ class RepartitionPipeline:
         self._prev_pairs: list[tuple[Box, int]] | None = []
         #: outcome of the most recent :meth:`repartition`
         self.last: RepartitionOutcome | None = None
+        # Trusted mask the current partition was computed over.
+        self._partitioned_over: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Previous-epoch assignment (columns first, pairs on demand)
@@ -216,8 +234,62 @@ class RepartitionPipeline:
         self._prev_pairs = None
 
     # ------------------------------------------------------------------
+    # Loop control: the run frame
+    # ------------------------------------------------------------------
+    @contextmanager
+    def run_frame(self, label: str, **span_attrs) -> Iterator[None]:
+        """One run: the tracer's run group, the ``run`` span, the total.
+
+        ``label`` names the run group (``label[partitioner]``);
+        ``span_attrs`` land on the ``run`` span after the partitioner and
+        the node count.  The simulated total is counted only when the
+        body completes.
+        """
+        tracer = self.tracer
+        name = self.partitioner.name
+        if tracer.enabled:
+            tracer.begin_run(
+                f"{label}[{name}]", sim_clock=lambda: self.cluster.clock.now
+            )
+            self.cluster.attach_tracer(tracer)
+        with tracer.span(
+            "run",
+            partitioner=name,
+            num_nodes=self.cluster.num_nodes,
+            **span_attrs,
+        ):
+            yield
+        if tracer.enabled:
+            tracer.metrics.counter("total_sim_seconds").inc(
+                self.cluster.clock.now
+            )
+
+    # ------------------------------------------------------------------
     # Stage: sense + capacity
     # ------------------------------------------------------------------
+    def sense_due(
+        self, step: int, last_sense_step: int, interval: int
+    ) -> bool:
+        """Whether this step probes the cluster.
+
+        The learner's adaptive cadence, when active, replaces the fixed
+        ``interval`` (0 = never on a cadence).
+        """
+        learner = self.learner
+        if learner.enabled and learner.config.adaptive_sensing:
+            return learner.sense_due(step, last_sense_step)
+        return bool(interval) and step > 0 and step % interval == 0
+
+    def effective_capacities(self, capacities: np.ndarray) -> np.ndarray:
+        """The learner's transient forecast in place of fresh capacities,
+        when that behavior is active."""
+        learner = self.learner
+        if learner.enabled and learner.config.transient_forecast:
+            return learner.effective_capacities(
+                capacities, self.cluster.clock.now
+            )
+        return capacities
+
     def sense(
         self,
         *,
@@ -342,6 +414,7 @@ class RepartitionPipeline:
             migration_seconds=mig_seconds,
         )
         self.last = outcome
+        self._partitioned_over = self.monitor.trusted_mask()
         return outcome
 
     # ------------------------------------------------------------------
@@ -356,18 +429,34 @@ class RepartitionPipeline:
         -- that is the escalation policy's call.
         """
         down = set(self.cluster.down_nodes)
-        if not down:
+        ranks = self._prev_ranks  # None while nothing is assigned
+        if not down or ranks is None:
             return ()
-        ranks = self._prev_ranks
-        if ranks is not None:
-            owners = set(np.unique(ranks).tolist())
-        else:
-            owners = {rank for _, rank in (self._prev_pairs or [])}
-        return tuple(sorted(down & owners))
+        return tuple(sorted(down & set(np.unique(ranks).tolist())))
 
     def needs_recovery(self) -> bool:
         """Whether any current box owner is a dead rank."""
         return bool(self.dead_owner_ranks())
+
+    def degraded(self) -> bool:
+        """Whether part of the cluster is outside the trusted set.
+
+        A resilient runtime then partitions through :meth:`recover`.  A
+        down box owner is never trusted, so this also covers
+        :meth:`needs_recovery`.
+        """
+        return not bool(self.monitor.trusted_mask().all())
+
+    def recovery_due(self) -> bool:
+        """Whether the trusted rank set no longer matches the partition.
+
+        Covers both directions: a box owner died (evacuate + shrink) and a
+        previously dead/evicted node rejoined (grow back over it).  Due
+        before the first partition, when there is no mask to match.
+        """
+        return self.needs_recovery() or not np.array_equal(
+            self.monitor.trusted_mask(), self._partitioned_over
+        )
 
     def recover(
         self,
@@ -494,6 +583,7 @@ class RepartitionPipeline:
             migration_seconds=mig_seconds,
         )
         self.last = outcome
+        self._partitioned_over = self.monitor.trusted_mask()
         return outcome
 
     # ------------------------------------------------------------------
@@ -592,4 +682,30 @@ class RepartitionPipeline:
             busy = float(busy_per_rank.max())
             tracer.add_span(
                 "sync", start_sim + busy, start_sim + busy + cost.sync
+            )
+
+    def end_step(
+        self,
+        start_sim: float,
+        cost: IterationCost,
+        *,
+        step: int,
+        loads: np.ndarray,
+        capacities: np.ndarray | None,
+        histogram: str,
+        attrs: Callable[[], dict],
+    ) -> None:
+        """Close one priced step: clock, spans, histogram, learner.
+
+        ``attrs`` builds the ``iteration`` span's attributes and runs only
+        when tracing; ``histogram`` names the step-time histogram.
+        """
+        self.cluster.clock.advance(cost.total)
+        tracer = self.tracer
+        if tracer.enabled:
+            self.emit_iteration_spans(start_sim, cost, attrs())
+            tracer.metrics.histogram(histogram).observe(cost.total)
+        if self.learner.enabled and capacities is not None:
+            self.learner.observe_iteration(
+                step, self.cluster.clock.now, loads, capacities, cost
             )
